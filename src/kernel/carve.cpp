@@ -52,16 +52,16 @@ std::vector<std::uint64_t> read_directory(std::span<const std::byte> image) {
   try {
     ByteReader r(image);
     r.skip(16);  // magic + total_len, validated by the caller
-    const std::uint32_t n_active = r.u32();
+    const std::uint32_t n_active = r.count(4);
     r.skip(std::size_t{n_active} * 4);
-    const std::uint32_t n_threads = r.u32();
+    const std::uint32_t n_threads = r.count(8);
     r.skip(std::size_t{n_threads} * 8);
-    const std::uint32_t n_drivers = r.u32();
+    const std::uint32_t n_drivers = r.count(4);
     for (std::uint32_t i = 0; i < n_drivers; ++i) {
       r.skip(r.u16());
       r.skip(r.u16());
     }
-    const std::uint32_t n_proc = r.u32();
+    const std::uint32_t n_proc = r.count(8);
     std::vector<std::uint64_t> dir;
     dir.reserve(n_proc);
     for (std::uint32_t i = 0; i < n_proc; ++i) dir.push_back(r.u64());

@@ -61,7 +61,10 @@ inline constexpr std::uint32_t kDefaultCarveChunkBytes = 64 * 1024;
 /// kCorrupt for an image too small to carry the dump header, with a bad
 /// magic (all-zero or scrubbed-to-garbage input), or whose recorded
 /// length disagrees with the image size (truncation) — degrading the
-/// carve view instead of crashing the scan.
+/// carve view instead of crashing the scan. Decoded element counts (in
+/// candidate records and in the directory) are bounded by the bytes that
+/// remain, so a poisoned count rejects one candidate, or leaves every
+/// record unlabelled (orphaned), and never escapes as bad_alloc.
 [[nodiscard]] support::StatusOr<CarveResult> carve_dump(
     std::span<const std::byte> image, support::ThreadPool* pool = nullptr,
     std::uint32_t chunk_bytes = 0);

@@ -31,11 +31,14 @@ struct DumpSections {
 
 DumpSections read_sections(ByteReader& r) {
   DumpSections s;
-  const std::uint32_t n_active = r.u32();
+  // Every count below is bounded by the bytes left (ByteReader::count),
+  // with the smallest encoding of one element: a hostile count ends as
+  // ParseError, never as a multi-gigabyte reserve().
+  const std::uint32_t n_active = r.count(4);
   s.active.reserve(n_active);
   for (std::uint32_t i = 0; i < n_active; ++i) s.active.push_back(r.u32());
 
-  const std::uint32_t n_threads = r.u32();
+  const std::uint32_t n_threads = r.count(8);
   s.threads.reserve(n_threads);
   for (std::uint32_t i = 0; i < n_threads; ++i) {
     Thread t;
@@ -44,7 +47,7 @@ DumpSections read_sections(ByteReader& r) {
     s.threads.push_back(t);
   }
 
-  const std::uint32_t n_drivers = r.u32();
+  const std::uint32_t n_drivers = r.count(4);  // two u16 lengths
   s.drivers.reserve(n_drivers);
   for (std::uint32_t i = 0; i < n_drivers; ++i) {
     Driver d;
@@ -53,7 +56,7 @@ DumpSections read_sections(ByteReader& r) {
     s.drivers.push_back(std::move(d));
   }
 
-  const std::uint32_t n_proc = r.u32();
+  const std::uint32_t n_proc = r.count(8);
   s.directory.reserve(n_proc);
   for (std::uint32_t i = 0; i < n_proc; ++i) s.directory.push_back(r.u64());
   return s;
@@ -107,7 +110,7 @@ KernelDump::ProcessImage parse_process_payload(ByteReader& r) {
   p.parent_pid = r.u32();
   p.image_name = read_str(r);
   p.image_path = read_str(r);
-  const std::uint32_t n_peb = r.u32();
+  const std::uint32_t n_peb = r.count(4);  // two u16 lengths each
   p.peb_modules.reserve(n_peb);
   for (std::uint32_t j = 0; j < n_peb; ++j) {
     PebModuleEntry m;
@@ -115,7 +118,7 @@ KernelDump::ProcessImage parse_process_payload(ByteReader& r) {
     m.name = read_str(r);
     p.peb_modules.push_back(std::move(m));
   }
-  const std::uint32_t n_kmod = r.u32();
+  const std::uint32_t n_kmod = r.count(4);
   p.kernel_modules.reserve(n_kmod);
   for (std::uint32_t j = 0; j < n_kmod; ++j) {
     KernelModule m;

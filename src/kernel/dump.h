@@ -51,7 +51,10 @@ struct KernelDump {
 /// Serializes the kernel's current state ("MEMORY.DMP").
 std::vector<std::byte> write_dump(const Kernel& kernel);
 
-/// Parses dump bytes. Throws gb::ParseError on malformed input.
+/// Parses dump bytes. Throws gb::ParseError on malformed input. Every
+/// decoded element count is bounded by the input that remains
+/// (ByteReader::count), so a poisoned count is a ParseError, never a
+/// gigantic allocation.
 ///
 /// With a pool, the per-process records (the bulk of a dump: module
 /// lists, path strings) are parsed concurrently after a serial

@@ -17,7 +17,7 @@ std::vector<std::byte> encode_index_entries(
 std::vector<IndexEntry> decode_index_entries(
     std::span<const std::byte> blob) {
   ByteReader r(blob);
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = r.count(10);  // u64 record + u16 length
   std::vector<IndexEntry> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

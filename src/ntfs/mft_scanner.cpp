@@ -242,7 +242,9 @@ std::vector<std::byte> read_attr_payload(disk::SectorDevice& dev,
                                          const DataAttr& attr) {
   if (attr.resident) return attr.resident_data;
   std::vector<std::byte> out;
-  out.reserve(attr.real_size);
+  // real_size is an on-disk u64 the file's owner controls; the runs can
+  // never supply more than the device holds, so cap the reserve there.
+  out.reserve(std::min(attr.real_size, dev.size_bytes()));
   std::vector<std::byte> cluster(kClusterSize);
   for (const Run& run : attr.runs) {
     for (std::uint64_t c = run.lcn; c < run.lcn + run.length; ++c) {

@@ -82,6 +82,19 @@ std::uint64_t ByteReader::u64() {
   return lo | (hi << 32);
 }
 
+std::uint32_t ByteReader::count(std::size_t min_element_bytes) {
+  const std::uint32_t n = u32();
+  // n * min <= remaining()  <=>  n <= remaining() / min, without the
+  // product that could wrap for a large element size.
+  if (min_element_bytes != 0 && n > remaining() / min_element_bytes) {
+    throw ParseError("element count " + std::to_string(n) + " x " +
+                     std::to_string(min_element_bytes) +
+                     " bytes exceeds the " + std::to_string(remaining()) +
+                     " bytes left at offset " + std::to_string(pos_));
+  }
+  return n;
+}
+
 std::vector<std::byte> ByteReader::bytes(std::size_t count) {
   require(count);
   std::vector<std::byte> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),

@@ -69,6 +69,13 @@ class ByteReader {
   std::uint64_t u64();
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
+  /// Reads a u32 element count whose elements each occupy at least
+  /// `min_element_bytes` of the input that follows. Throws ParseError
+  /// unless count * min_element_bytes <= remaining(), so a decoder may
+  /// reserve() on the result: a count the input cannot back is a
+  /// truncated input, never a gigantic allocation.
+  std::uint32_t count(std::size_t min_element_bytes);
+
   /// Reads `count` raw bytes.
   std::vector<std::byte> bytes(std::size_t count);
   /// Reads `count` bytes as a string (may contain NULs).

@@ -95,6 +95,31 @@ TEST(ByteReader, SeekAndSubspan) {
   EXPECT_THROW(r.subspan(14, 4), ParseError);
 }
 
+TEST(ByteReader, CountBoundedByRemaining) {
+  ByteWriter w;
+  w.u32(3);
+  w.zeros(12);
+  {
+    ByteReader r(w.view());
+    EXPECT_EQ(r.count(4), 3u);  // 3 x 4 == the 12 bytes left
+    EXPECT_EQ(r.pos(), 4u);
+  }
+  {
+    ByteReader r(w.view());
+    EXPECT_THROW(r.count(5), ParseError);  // 3 x 5 > 12
+  }
+
+  ByteWriter huge;
+  huge.u32(0xFFFFFFFFu);
+  huge.zeros(8);
+  ByteReader r(huge.view());
+  // 0xFFFFFFFF x 8 must be compared without wrapping; so must a count
+  // times an element size whose product exceeds 64 bits.
+  EXPECT_THROW(r.count(8), ParseError);
+  r.seek(0);
+  EXPECT_THROW(r.count(std::size_t{1} << 62), ParseError);
+}
+
 TEST(ByteConversions, StringBytesRoundTrip) {
   const std::string s("a\0b\xff", 4);
   const auto b = to_bytes(s);

@@ -128,6 +128,57 @@ TEST(CarveDump, ByteIdenticalAcrossWorkersAndChunkSizes) {
   }
 }
 
+// The parser-fuzz dump (two processes, 238 bytes) with one poisoned
+// byte. Each decoded element count is bounded by the bytes left, so a
+// poisoned count is a ParseError: the carver rejects that one candidate
+// or loses only the directory labels, and never lets bad_alloc escape.
+std::vector<std::byte> two_process_dump() {
+  kernel::Kernel k;
+  k.create_process("C:\\a.exe", 4, 2);
+  k.create_process("C:\\b.exe", 4, 1);
+  return kernel::write_dump(k);
+}
+
+TEST(CarveDump, PoisonedRecordCountRejectsOnlyThatRecord) {
+  auto image = two_process_dump();
+  ASSERT_EQ(image.size(), 238u);
+  // Low byte of the second record's image_path length: the reader
+  // shifts into path text and decodes a PEB-module count in the
+  // billions.
+  image[107] = std::byte{0x0e};
+
+  const auto carved = kernel::carve_dump(image);
+  ASSERT_TRUE(carved.ok()) << carved.status().to_string();
+  EXPECT_EQ(carved->stats.candidates, 2u);
+  EXPECT_EQ(carved->stats.rejected, 1u);
+  EXPECT_EQ(carved->stats.recovered, 1u);
+  ASSERT_EQ(carved->processes.size(), 1u);
+  EXPECT_EQ(carved->processes[0].image.pid, 8u);
+  EXPECT_TRUE(carved->processes[0].referenced);
+
+  const auto parsed = kernel::parse_dump_or(image);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), support::StatusCode::kCorrupt);
+}
+
+TEST(CarveDump, PoisonedDirectoryCountStillCarvesEveryRecord) {
+  auto image = two_process_dump();
+  // High byte of the header's directory count: about 4.3e9 entries
+  // claimed in a 238-byte image.
+  image[63] = std::byte{0xff};
+
+  const auto carved = kernel::carve_dump(image);
+  ASSERT_TRUE(carved.ok()) << carved.status().to_string();
+  EXPECT_EQ(carved->stats.candidates, 2u);
+  EXPECT_EQ(carved->stats.recovered, 2u);
+  // The directory is unreadable, so nothing can be labelled referenced.
+  EXPECT_EQ(carved->orphan_count(), 2u);
+
+  const auto parsed = kernel::parse_dump_or(image);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), support::StatusCode::kCorrupt);
+}
+
 // --- the carve view inside the engine --------------------------------------
 
 TEST(CarveView, ScrubbedToGarbageDumpDegradesCarveViewWithoutTearing) {

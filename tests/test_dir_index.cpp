@@ -36,6 +36,14 @@ TEST(DirIndexCodec, TruncatedBlobThrows) {
   EXPECT_THROW(ntfs::decode_index_entries(blob), ParseError);
 }
 
+TEST(DirIndexCodec, HugeEntryCountThrows) {
+  // An entry count the blob cannot back is truncation too, not a
+  // gigantic reserve().
+  auto huge = ntfs::encode_index_entries({{5, "x.txt"}});
+  huge[3] = std::byte{0xff};
+  EXPECT_THROW(ntfs::decode_index_entries(huge), ParseError);
+}
+
 TEST(DirIndex, IndexesPersistAcrossRemount) {
   disk::MemDisk disk(16 * 1024);
   ntfs::NtfsVolume::format(disk, 512);
@@ -129,6 +137,43 @@ TEST(DirIndex, CleanMachineHasNoOrphans) {
   machine::Machine m(small_config());
   ntfs::MftScanner scanner(m.disk());
   EXPECT_TRUE(scanner.index_orphans().empty());
+}
+
+TEST(DirIndex, PoisonedIndexSizeDoesNotThrowFromOrphanPass) {
+  // A directory record's on-disk index real_size is a u64 its owner
+  // controls. One huge value must not turn the orphan pass into a
+  // multi-terabyte reserve() (bad_alloc degrades the whole index view);
+  // the payload read is capped by what the device can hold.
+  machine::Machine m(small_config());
+  for (int i = 0; i < 200; ++i) {
+    m.volume().write_file("C:\\windows\\spill-" + std::to_string(i) + ".bin",
+                          "z");
+  }
+  ntfs::MftScanner scanner(m.disk());
+  const auto before = scanner.index_orphans();
+  const auto dir = scanner.find("C:\\windows");
+  ASSERT_TRUE(dir.has_value());
+
+  std::vector<std::byte> bs(ntfs::kSectorSize);
+  m.disk().read(0, bs);
+  ByteReader r(bs);
+  r.seek(ntfs::BootSectorLayout::kMftStartCluster);
+  const auto lba = r.u64() * ntfs::kSectorsPerCluster +
+                   *dir * (ntfs::kMftRecordSize / ntfs::kSectorSize);
+  std::vector<std::byte> image(ntfs::kMftRecordSize);
+  m.disk().read(lba, image);
+  auto rec = ntfs::MftRecord::parse(image);
+  ASSERT_TRUE(rec.index.has_value());
+  ASSERT_FALSE(rec.index->resident);  // 200 entries spill to clusters
+  rec.index->real_size = std::uint64_t{1} << 40;
+  m.disk().write(lba, rec.serialize());
+
+  const auto after = scanner.index_orphans();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].path, before[i].path);
+    EXPECT_EQ(after[i].record, before[i].record);
+  }
 }
 
 TEST(IndexGhostTest, CaughtByInsideCrossViewDiff) {
