@@ -103,17 +103,14 @@ std::size_t ShardPlan::shards_for(std::size_t executors,
   return std::min(n, kMaxShards);
 }
 
-DiffReport cross_view_matrix_diff(ResourceType type,
-                                  const std::vector<ViewInput>& views,
-                                  support::ThreadPool* pool,
-                                  std::size_t shards) {
+DiffReport summarize_views(ResourceType type,
+                           const std::vector<ViewInput>& views) {
   if (views.empty()) {
     throw std::invalid_argument(
         "cross_view_matrix_diff: needs at least the API view");
   }
   DiffReport report;
   report.type = type;
-  std::size_t total = 0;
   for (const auto& v : views) {
     if (v.ok() && v.result->type != type) {
       throw std::invalid_argument(
@@ -126,7 +123,6 @@ DiffReport cross_view_matrix_diff(ResourceType type,
       s.name = v.result->view_name;
       s.count = v.result->resources.size();
       s.status = v.status;
-      total += s.count;
     } else {
       s.name = std::string(kFailedViewName);
       // A null result with an OK status is a caller bug; never let it
@@ -140,22 +136,16 @@ DiffReport cross_view_matrix_diff(ResourceType type,
 
   // Pairwise projection: the API view vs. the *last* completed trusted
   // view — the deepest truth source that ran.
-  const ViewInput& api = views[0];
   report.high_view = report.views[0].name;
   report.high_count = report.views[0].count;
-  const ViewInput* low = nullptr;
+  report.low_view = std::string(kFailedViewName);
   for (std::size_t v = views.size(); v-- > 1;) {
     if (views[v].ok()) {
-      low = &views[v];
+      report.low_view = views[v].result->view_name;
+      report.low_trust = views[v].trust;
+      report.low_count = views[v].result->resources.size();
       break;
     }
-  }
-  if (low != nullptr) {
-    report.low_view = low->result->view_name;
-    report.low_trust = low->trust;
-    report.low_count = low->result->resources.size();
-  } else {
-    report.low_view = std::string(kFailedViewName);
   }
 
   // Degradation: the first failed trusted view wins (registration
@@ -167,12 +157,26 @@ DiffReport cross_view_matrix_diff(ResourceType type,
       break;
     }
   }
-  if (report.status.ok() && !api.ok()) report.status = report.views[0].status;
+  if (report.status.ok() && !views[0].ok()) {
+    report.status = report.views[0].status;
+  }
+  return report;
+}
+
+DiffReport cross_view_matrix_diff(ResourceType type,
+                                  const std::vector<ViewInput>& views,
+                                  support::ThreadPool* pool,
+                                  std::size_t shards) {
+  DiffReport report = summarize_views(type, views);
 
   // Findings need the API view and at least one trusted view to have
   // completed; the surviving views still produce evidence when another
   // trusted view failed (the diff is degraded *and* has findings).
-  if (!api.ok() || low == nullptr) return report;
+  const bool any_trusted = std::any_of(
+      views.begin() + 1, views.end(), [](const ViewInput& v) { return v.ok(); });
+  if (!views[0].ok() || !any_trusted) return report;
+  std::size_t total = 0;
+  for (const auto& s : report.views) total += s.count;
 
   std::vector<MergeView> mv;
   mv.reserve(views.size());

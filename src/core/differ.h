@@ -133,6 +133,14 @@ struct ShardPlan {
     ResourceType type, const std::vector<ViewInput>& views,
     support::ThreadPool* pool = nullptr, std::size_t shards = 0);
 
+/// The matrix diff without the merge: per-view summaries, the pairwise
+/// projection (API view vs. last completed trusted view) and the
+/// degradation status, with no findings. cross_view_matrix_diff starts
+/// from it; the injected scan, whose API column unions one view per
+/// process, builds on it directly.
+[[nodiscard]] DiffReport summarize_views(ResourceType type,
+                                         const std::vector<ViewInput>& views);
+
 /// Classic pairwise diff: the N == 2 matrix with view names as view ids.
 /// Both inputs must be normalized.
 [[nodiscard]] DiffReport cross_view_diff(const ScanResult& high,

@@ -197,11 +197,6 @@ class ModuleScanner final : public ResourceScanner {
 
 }  // namespace
 
-DiffReport ResourceScanner::diff(const ScanTaskContext& t,
-                                 const std::vector<ViewInput>& views) const {
-  return cross_view_matrix_diff(type(), views, t.pool);
-}
-
 std::vector<std::unique_ptr<ResourceScanner>> default_scanners(
     ResourceMask mask) {
   std::vector<std::unique_ptr<ResourceScanner>> out;

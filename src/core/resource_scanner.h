@@ -2,7 +2,8 @@
 //
 // Each scan family (files, ASEP hooks, processes, modules) supplies the
 // untrusted API view plus an *ordered list* of trusted views — per scan
-// phase — and its diff policy. The engine is then one generic task graph
+// phase — and the engine diffs them all with the N-view matrix differ
+// (core/differ.h). The engine is then one generic task graph
 // over registered providers and their registered views: it knows nothing
 // about resource types beyond this interface, so future views (deleted-
 // MFT sweep, ADS sweep, a second dump traversal) plug in by registering
@@ -108,15 +109,9 @@ class ResourceScanner {
 
   /// The ordered trusted views for `phase` under `cfg`'s policies. The
   /// engine runs every returned view as its own task and feeds all
-  /// outcomes — completed or failed — to diff().
+  /// outcomes — completed or failed — to cross_view_matrix_diff.
   [[nodiscard]] virtual std::vector<ViewDef> trusted_views(
       ScanPhase phase, const ScanConfig& cfg) const = 0;
-
-  /// Diff policy over the assembled view matrix (views[0] is the API
-  /// view). The default is the hash-sharded N-view matrix diff under the
-  /// ShardPlan cost model.
-  [[nodiscard]] virtual DiffReport diff(
-      const ScanTaskContext& t, const std::vector<ViewInput>& views) const;
 };
 
 /// The four built-in scan families, in fixed report order (files, ASEPs,

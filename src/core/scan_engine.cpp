@@ -1,8 +1,11 @@
 #include "core/scan_engine.h"
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -29,10 +32,6 @@ std::size_t pool_workers(std::size_t parallelism) {
   return parallelism - 1;  // the calling thread is the other executor
 }
 
-void json_escape(std::ostringstream& os, std::string_view s) {
-  os << json_quote(s);
-}
-
 void json_id_array(std::ostringstream& os,
                    const std::vector<std::string>& ids) {
   os << '[';
@@ -40,7 +39,7 @@ void json_id_array(std::ostringstream& os,
   for (const auto& id : ids) {
     if (!first) os << ',';
     first = false;
-    json_escape(os, id);
+    os << json_quote(id);
   }
   os << ']';
 }
@@ -57,48 +56,119 @@ support::StatusOr<ScanResult> guarded_scan(F&& f) {
   }
 }
 
-/// One executed view in an engine task graph: its identity plus the
-/// outcome and the wall time the task took.
+constexpr const char* kInjectedViewName = "injected scans (all processes)";
+
+/// The differ's input for one view. A failed view passes through as a
+/// failed ViewInput — the matrix differ degrades per-view, so the
+/// surviving views still yield findings.
+ViewInput input_of(const std::string& id, TrustLevel trust,
+                   const support::StatusOr<ScanResult>& r) {
+  if (!r.ok()) return ViewInput{id, trust, nullptr, r.status()};
+  return ViewInput{id, trust, &*r, {}};
+}
+
+/// Counts `views` into a run's tally and returns the work of those that
+/// completed — what their diff charges as simulated time.
+machine::ScanWork tally_views(Report::Metrics& tally,
+                              std::span<const ViewInput> views) {
+  machine::ScanWork work;
+  for (const auto& v : views) {
+    ++tally.provider_scans;
+    if (v.ok()) {
+      work += v.result->work;
+    } else {
+      ++tally.scan_failures;
+    }
+  }
+  return work;
+}
+
+}  // namespace
+
+namespace internal {
+
+/// One executed view: its outcome and the wall time the task took.
 struct ViewOutcome {
-  std::string id;
-  TrustLevel trust = TrustLevel::kTruthApproximation;
   support::StatusOr<ScanResult> result;
   double wall = 0;
 };
 
-/// A (non-owning) view handed to the provider's diff policy.
-struct ViewRef {
-  std::string id;
-  TrustLevel trust = TrustLevel::kTruthApproximation;
-  const support::StatusOr<ScanResult>* result = nullptr;
+/// One view to run: the span it opens, the process it runs in (a span
+/// argument, set only for the injected scan's per-process API views),
+/// the outcome slot it fills and the scan itself.
+struct ViewTask {
+  std::string span;
+  std::string image;
+  ViewOutcome* out = nullptr;
+  std::function<support::StatusOr<ScanResult>()> scan;
 };
 
-/// Builds one provider's diff from all its view outcomes (refs[0] is
-/// the API view). Failed views pass through as failed ViewInputs — the
-/// matrix differ degrades per-view, so the surviving views still yield
-/// findings. Simulated time charges the work of every completed view.
-DiffReport diff_views(const ResourceScanner& scanner,
-                      const ScanTaskContext& t,
-                      const std::vector<ViewRef>& refs,
-                      const machine::MachineProfile& profile) {
-  machine::ScanWork work;
-  std::vector<ViewInput> inputs(refs.size());
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    inputs[i].id = refs[i].id;
-    inputs[i].trust = refs[i].trust;
-    if (refs[i].result->ok()) {
-      inputs[i].result = &**refs[i].result;
-      work += (*refs[i].result)->work;
-    } else {
-      inputs[i].status = refs[i].result->status();
+/// One provider's views in a run: the API view's outcome (unused by the
+/// outside diff, whose API views come from the capture) and the
+/// registered trusted views of one scan phase with theirs.
+struct ProviderRun {
+  const ResourceScanner* scanner = nullptr;
+  ViewOutcome api;
+  std::vector<ResourceScanner::ViewDef> defs;
+  std::vector<ViewOutcome> trusted;  // parallel to defs
+
+  ProviderRun(const ResourceScanner& s, ScanPhase phase,
+              const ScanConfig& cfg)
+      : scanner(&s), defs(s.trusted_views(phase, cfg)), trusted(defs.size()) {}
+
+  [[nodiscard]] std::string span(std::string_view view) const {
+    return std::string("scan.") + resource_type_name(scanner->type()) + "." +
+           std::string(view);
+  }
+
+  /// The API view's task, taken from `ctx`'s process.
+  [[nodiscard]] ViewTask api_task(const ScanTaskContext& t,
+                                  const winapi::Ctx& ctx, ViewOutcome& out,
+                                  std::string_view view = "high") const {
+    return ViewTask{span(view), "", &out, [s = scanner, &t, &ctx] {
+                      return s->high_scan(t, ctx);
+                    }};
+  }
+
+  /// Appends one task per trusted view (`src` is null in the live phase).
+  void add_trusted_tasks(std::vector<ViewTask>& tasks, const ScanTaskContext& t,
+                         const OutsideSources* src) {
+    for (std::size_t v = 0; v < defs.size(); ++v) {
+      tasks.push_back(ViewTask{
+          span(src == nullptr ? defs[v].id : "outside." + defs[v].id), "",
+          &trusted[v], [&t, src, &def = defs[v]] { return def.run(t, src); }});
     }
   }
-  DiffReport d = scanner.diff(t, inputs);
-  d.simulated_seconds = estimate_seconds(profile, work);
-  return d;
-}
 
-}  // namespace
+  /// `api_result` followed by every trusted view: a diff's view list.
+  [[nodiscard]] std::vector<ViewInput> inputs(
+      const support::StatusOr<ScanResult>& api_result) const {
+    std::vector<ViewInput> out{
+        input_of(kApiViewId, TrustLevel::kApiView, api_result)};
+    for (std::size_t v = 0; v < defs.size(); ++v) {
+      out.push_back(input_of(defs[v].id, defs[v].trust, trusted[v].result));
+    }
+    return out;
+  }
+
+  /// Summed scan wall time of the API and trusted views.
+  [[nodiscard]] double wall() const {
+    double w = api.wall;
+    for (const auto& o : trusted) w += o.wall;
+    return w;
+  }
+
+  [[nodiscard]] bool any_trusted_ok() const {
+    return std::any_of(trusted.begin(), trusted.end(),
+                       [](const ViewOutcome& o) { return o.result.ok(); });
+  }
+};
+
+}  // namespace internal
+
+using internal::ProviderRun;
+using internal::ViewOutcome;
+using internal::ViewTask;
 
 const char* scan_kind_name(ScanKind kind) {
   switch (kind) {
@@ -197,7 +267,7 @@ std::string Report::to_json() const {
      << ",\"worker_threads\":" << worker_threads << ",\"scheduler\":";
   if (scheduler) {
     os << "{\"tenant\":";
-    json_escape(os, scheduler->tenant);
+    os << json_quote(scheduler->tenant);
     os << ",\"job_id\":" << scheduler->job_id
        << ",\"priority\":" << scheduler->priority
        << ",\"queue_seconds\":" << scheduler->queue_seconds << '}';
@@ -218,7 +288,7 @@ std::string Report::to_json() const {
   if (incremental) {
     os << "{\"incremental\":" << (incremental->incremental ? "true" : "false")
        << ",\"fallback_reason\":";
-    json_escape(os, incremental->fallback_reason);
+    os << json_quote(incremental->fallback_reason);
     os << ",\"journal_id\":" << incremental->journal_id
        << ",\"cursor\":" << incremental->cursor
        << ",\"journal_records\":" << incremental->journal_records
@@ -233,35 +303,35 @@ std::string Report::to_json() const {
     if (!first_diff) os << ',';
     first_diff = false;
     os << "{\"type\":";
-    json_escape(os, resource_type_name(d.type));
+    os << json_quote(resource_type_name(d.type));
     os << ",\"status\":" << (d.degraded() ? "\"degraded\"" : "\"ok\"")
        << ",\"degraded\":" << (d.degraded() ? "true" : "false")
        << ",\"error\":";
-    json_escape(os, d.degraded() ? d.status.to_string() : "");
+    os << json_quote(d.degraded() ? d.status.to_string() : "");
     os << ",\"views\":[";
     bool first_view = true;
     for (const auto& v : d.views) {
       if (!first_view) os << ',';
       first_view = false;
       os << "{\"id\":";
-      json_escape(os, v.id);
+      os << json_quote(v.id);
       os << ",\"name\":";
-      json_escape(os, v.name);
+      os << json_quote(v.name);
       os << ",\"trust\":";
-      json_escape(os, trust_level_name(v.trust));
+      os << json_quote(trust_level_name(v.trust));
       os << ",\"count\":" << v.count
          << ",\"status\":" << (v.degraded() ? "\"degraded\"" : "\"ok\"")
          << ",\"degraded\":" << (v.degraded() ? "true" : "false")
          << ",\"error\":";
-      json_escape(os, v.degraded() ? v.status.to_string() : "");
+      os << json_quote(v.degraded() ? v.status.to_string() : "");
       os << '}';
     }
     os << "],\"high_view\":";
-    json_escape(os, d.high_view);
+    os << json_quote(d.high_view);
     os << ",\"low_view\":";
-    json_escape(os, d.low_view);
+    os << json_quote(d.low_view);
     os << ",\"trust\":";
-    json_escape(os, trust_level_name(d.low_trust));
+    os << json_quote(trust_level_name(d.low_trust));
     os << ",\"high_count\":" << d.high_count
        << ",\"low_count\":" << d.low_count
        << ",\"simulated_seconds\":" << d.simulated_seconds
@@ -271,9 +341,9 @@ std::string Report::to_json() const {
       if (!first) os << ',';
       first = false;
       os << "{\"key\":";
-      json_escape(os, f.resource.key);
+      os << json_quote(f.resource.key);
       os << ",\"display\":";
-      json_escape(os, f.resource.display);
+      os << json_quote(f.resource.display);
       os << ",\"found_in\":";
       json_id_array(os, f.found_in);
       os << ",\"missing_from\":";
@@ -310,7 +380,7 @@ winapi::Ctx ScanEngine::scanner_context() {
 }
 
 void ScanEngine::finalize(Report& report, double wall_seconds,
-                          const char* kind, const ScanTally& tally) {
+                          const char* kind, Report::Metrics m) {
   for (auto& d : report.diffs) {
     report.total_simulated_seconds += d.simulated_seconds;
   }
@@ -323,9 +393,6 @@ void ScanEngine::finalize(Report& report, double wall_seconds,
   // The report block holds only deterministic quantities (counts and
   // simulated time); wall-clock observations go to the registry, which
   // never feeds back into report bytes.
-  Report::Metrics m;
-  m.provider_scans = tally.provider_scans;
-  m.scan_failures = tally.scan_failures;
   for (const auto& d : report.diffs) {
     if (d.degraded()) ++m.degraded_diffs;
     m.hidden_resources += d.hidden.size();
@@ -399,14 +466,6 @@ ScanSession ScanEngine::open_session(SessionSpec spec) {
   return ScanSession(*this, spec);
 }
 
-Report ScanEngine::inside_scan() {
-  return std::move(inside_scan_impl(RunCtl{})).value();
-}
-
-Report ScanEngine::injected_scan() {
-  return std::move(injected_scan_impl(RunCtl{})).value();
-}
-
 InsideCapture ScanEngine::capture_inside_high() {
   return capture_inside_high_impl(RunCtl{});
 }
@@ -415,8 +474,42 @@ Report ScanEngine::outside_diff(const InsideCapture& capture) {
   return std::move(outside_diff_impl(capture, RunCtl{})).value();
 }
 
-Report ScanEngine::outside_scan() {
-  return std::move(outside_scan_impl(RunCtl{})).value();
+bool ScanEngine::run_views(const std::vector<ViewTask>& tasks,
+                           const RunCtl& ctl) {
+  ctl.add_total(static_cast<std::uint32_t>(tasks.size()));
+  pool_.parallel_for(
+      tasks.size(),
+      [&](std::size_t i) {
+        const ViewTask& task = tasks[i];
+        auto span = obs::default_tracer().span(task.span, "provider");
+        if (!task.image.empty()) span.arg("image", task.image);
+        const auto start = SteadyClock::now();
+        task.out->result = guarded_scan(task.scan);
+        task.out->wall = seconds_since(start);
+        ctl.add_done();
+      },
+      ctl.cancel);
+  return !ctl.cancelled();
+}
+
+DiffReport ScanEngine::diff_views(
+    const ProviderRun& p, const support::StatusOr<ScanResult>& api,
+    Report::Metrics& tally) {
+  const std::vector<ViewInput> inputs = p.inputs(api);
+  const machine::ScanWork work = tally_views(tally, inputs);
+  auto span = obs::default_tracer().span(
+      std::string("diff.") + resource_type_name(p.scanner->type()), "diff");
+  const auto start = SteadyClock::now();
+  DiffReport d = cross_view_matrix_diff(p.scanner->type(), inputs, &pool_);
+  d.simulated_seconds = estimate_seconds(machine_.config().profile, work);
+  d.wall_seconds = p.wall() + seconds_since(start);
+  return d;
+}
+
+std::vector<ProviderRun> ScanEngine::plan(ScanPhase phase) const {
+  std::vector<ProviderRun> providers;
+  for (const auto& s : scanners_) providers.emplace_back(*s, phase, cfg_);
+  return providers;
 }
 
 support::StatusOr<Report> ScanEngine::inside_scan_impl(
@@ -426,7 +519,6 @@ support::StatusOr<Report> ScanEngine::inside_scan_impl(
   }
   const auto t0 = SteadyClock::now();
   auto run_span = obs::default_tracer().span("engine.inside", "engine");
-  Report report;
   const auto ctx = scanner_context();
   flush_hives_if_needed();
   // Serial, after the flush (so journal entries from the flush are
@@ -436,85 +528,27 @@ support::StatusOr<Report> ScanEngine::inside_scan_impl(
   ScanTaskContext tctx = task_context();
   tctx.session = session;
 
-  // One task per registered view — the API view plus every trusted view
+  // One task per view — each provider's API view plus every trusted view
   // run independently; the file scans fan out further internally.
-  struct Provider {
-    std::vector<ResourceScanner::ViewDef> defs;  // trusted views
-    std::vector<ViewOutcome> outcomes;           // [0] = API, then defs
-  };
-  std::vector<Provider> providers(scanners_.size());
-  struct TaskRef {
-    std::size_t slot = 0;
-    std::size_t view = 0;
-  };
-  std::vector<TaskRef> tasks;
-  for (std::size_t s = 0; s < scanners_.size(); ++s) {
-    Provider& p = providers[s];
-    p.defs = scanners_[s]->trusted_views(ScanPhase::kLive, cfg_);
-    p.outcomes.resize(1 + p.defs.size());
-    p.outcomes[0].id = kApiViewId;
-    p.outcomes[0].trust = TrustLevel::kApiView;
-    for (std::size_t v = 0; v < p.defs.size(); ++v) {
-      p.outcomes[v + 1].id = p.defs[v].id;
-      p.outcomes[v + 1].trust = p.defs[v].trust;
-    }
-    for (std::size_t v = 0; v < p.outcomes.size(); ++v) {
-      tasks.push_back(TaskRef{s, v});
-    }
+  auto providers = plan(ScanPhase::kLive);
+  std::vector<ViewTask> tasks;
+  for (auto& p : providers) {
+    tasks.push_back(p.api_task(tctx, ctx, p.api));
+    p.add_trusted_tasks(tasks, tctx, nullptr);
   }
-  ctl.add_total(static_cast<std::uint32_t>(tasks.size()));
-  pool_.parallel_for(
-      tasks.size(),
-      [&](std::size_t i) {
-        const TaskRef task = tasks[i];
-        const ResourceScanner& scanner = *scanners_[task.slot];
-        Provider& p = providers[task.slot];
-        ViewOutcome& out = p.outcomes[task.view];
-        auto span = obs::default_tracer().span(
-            std::string("scan.") + resource_type_name(scanner.type()) + "." +
-                (task.view == 0 ? "high" : out.id),
-            "provider");
-        const auto start = SteadyClock::now();
-        if (task.view == 0) {
-          out.result =
-              guarded_scan([&] { return scanner.high_scan(tctx, ctx); });
-        } else {
-          const auto& def = p.defs[task.view - 1];
-          out.result = guarded_scan([&] { return def.run(tctx, nullptr); });
-        }
-        out.wall = seconds_since(start);
-        ctl.add_done();
-      },
-      ctl.cancel);
-  if (ctl.cancelled()) {
+  if (!run_views(tasks, ctl)) {
     // Some views may be missing or half-collected: discard the lot
     // rather than emit a report that looks degraded but is really torn.
     return support::Status::cancelled("inside scan cancelled");
   }
 
-  ScanTally tally;
-  const auto& profile = machine_.config().profile;
-  for (std::size_t s = 0; s < scanners_.size(); ++s) {
+  Report report;
+  Report::Metrics tally;
+  for (const auto& p : providers) {
     if (ctl.cancelled()) {
       return support::Status::cancelled("inside scan cancelled during diff");
     }
-    Provider& p = providers[s];
-    tally.provider_scans += p.outcomes.size();
-    double wall = 0;
-    std::vector<ViewRef> refs(p.outcomes.size());
-    for (std::size_t v = 0; v < p.outcomes.size(); ++v) {
-      if (!p.outcomes[v].result.ok()) ++tally.scan_failures;
-      wall += p.outcomes[v].wall;
-      refs[v] = ViewRef{p.outcomes[v].id, p.outcomes[v].trust,
-                        &p.outcomes[v].result};
-    }
-    auto span = obs::default_tracer().span(
-        std::string("diff.") + resource_type_name(scanners_[s]->type()),
-        "diff");
-    const auto start = SteadyClock::now();
-    DiffReport d = diff_views(*scanners_[s], tctx, refs, profile);
-    d.wall_seconds = wall + seconds_since(start);
-    report.diffs.push_back(std::move(d));
+    report.diffs.push_back(diff_views(p, p.api.result, tally));
   }
   if (session != nullptr) report.incremental = session->last;
   finalize(report, seconds_since(t0), "inside", tally);
@@ -539,213 +573,90 @@ support::StatusOr<Report> ScanEngine::injected_scan_impl(const RunCtl& ctl) {
   }
   const auto t0 = SteadyClock::now();
   auto run_span = obs::default_tracer().span("engine.injected", "engine");
-  Report report;
   flush_hives_if_needed();
   const ScanTaskContext tctx = task_context();
-  // Per-job scans stay internally serial — the fan-out is already one
-  // task per (process, provider) job.
-  const ScanTaskContext serial_ctx{machine_, nullptr, cfg_};
 
   // Trusted snapshots — every registered live view of every provider —
-  // taken concurrently.
-  struct Provider {
-    std::vector<ResourceScanner::ViewDef> defs;
-    std::vector<ViewOutcome> trusted;  // parallel to defs
-
-    [[nodiscard]] bool any_ok() const {
-      for (const auto& o : trusted) {
-        if (o.result.ok()) return true;
-      }
-      return false;
-    }
-  };
-  std::vector<Provider> providers(scanners_.size());
-  struct TaskRef {
-    std::size_t slot = 0;
-    std::size_t view = 0;
-  };
-  std::vector<TaskRef> snapshot_tasks;
-  for (std::size_t s = 0; s < scanners_.size(); ++s) {
-    Provider& p = providers[s];
-    p.defs = scanners_[s]->trusted_views(ScanPhase::kLive, cfg_);
-    p.trusted.resize(p.defs.size());
-    for (std::size_t v = 0; v < p.defs.size(); ++v) {
-      p.trusted[v].id = p.defs[v].id;
-      p.trusted[v].trust = p.defs[v].trust;
-      snapshot_tasks.push_back(TaskRef{s, v});
-    }
-  }
-  ctl.add_total(static_cast<std::uint32_t>(snapshot_tasks.size()));
-  pool_.parallel_for(
-      snapshot_tasks.size(),
-      [&](std::size_t i) {
-        const TaskRef task = snapshot_tasks[i];
-        Provider& p = providers[task.slot];
-        auto span = obs::default_tracer().span(
-            std::string("scan.") +
-                resource_type_name(scanners_[task.slot]->type()) + "." +
-                p.trusted[task.view].id,
-            "provider");
-        const auto start = SteadyClock::now();
-        p.trusted[task.view].result = guarded_scan(
-            [&] { return p.defs[task.view].run(tctx, nullptr); });
-        p.trusted[task.view].wall = seconds_since(start);
-        ctl.add_done();
-      },
-      ctl.cancel);
-  if (ctl.cancelled()) {
+  // taken once, concurrently.
+  auto providers = plan(ScanPhase::kLive);
+  std::vector<ViewTask> tasks;
+  for (auto& p : providers) p.add_trusted_tasks(tasks, tctx, nullptr);
+  if (!run_views(tasks, ctl)) {
     return support::Status::cancelled("injected scan cancelled");
   }
 
-  // Scan contexts in pid order (envs() is a sorted map) — the order the
-  // deterministic reduction below walks.
+  // Then one API view per (process, provider), taken from inside that
+  // process in pid order (envs() is a sorted map). Per-process scans stay
+  // internally serial — the fan-out is already one task per process.
+  // Providers with no sound trusted snapshot skip theirs: there is
+  // nothing to diff against.
+  const ScanTaskContext serial_ctx{machine_, nullptr, cfg_};
   std::vector<winapi::Ctx> ctxs;
   for (const auto& [pid, env] : machine_.win32().envs()) {
     auto ctx = machine_.context_for(pid);
     if (ctx.image_name.empty() || ctx.image_name == "System") continue;
     ctxs.push_back(std::move(ctx));
   }
-
-  // One job per (process, provider): high-level scan from inside that
-  // process, diffed against the trusted snapshots. Jobs run in any
-  // order. Providers with no sound trusted snapshot at all skip their
-  // jobs entirely — there is nothing to diff against.
-  struct Job {
-    DiffReport diff;
-    support::Status status;
-    std::size_t high_count = 0;
-    machine::ScanWork work;
-    double wall = 0;
-  };
-  std::vector<Job> jobs(ctxs.size() * scanners_.size());
-  ctl.add_total(static_cast<std::uint32_t>(jobs.size()));
-  pool_.parallel_for(
-      jobs.size(),
-      [&](std::size_t i) {
-        const winapi::Ctx& ctx = ctxs[i / scanners_.size()];
-        const std::size_t s = i % scanners_.size();
-        ctl.add_done();
-        const Provider& p = providers[s];
-        if (!p.any_ok()) return;
-        auto span = obs::default_tracer().span(
-            std::string("scan.") + resource_type_name(scanners_[s]->type()) +
-                ".injected",
-            "provider");
-        span.arg("image", ctx.image_name);
-        const auto start = SteadyClock::now();
-        const auto high = guarded_scan(
-            [&] { return scanners_[s]->high_scan(serial_ctx, ctx); });
-        Job& job = jobs[i];
-        if (!high.ok()) {
-          job.status = high.status();
-        } else {
-          std::vector<ViewInput> inputs(1 + p.trusted.size());
-          inputs[0].id = kApiViewId;
-          inputs[0].trust = TrustLevel::kApiView;
-          inputs[0].result = &*high;
-          for (std::size_t v = 0; v < p.trusted.size(); ++v) {
-            inputs[v + 1].id = p.trusted[v].id;
-            inputs[v + 1].trust = p.trusted[v].trust;
-            if (p.trusted[v].result.ok()) {
-              inputs[v + 1].result = &*p.trusted[v].result;
-            } else {
-              inputs[v + 1].status = p.trusted[v].result.status();
-            }
-          }
-          job.diff = cross_view_matrix_diff(scanners_[s]->type(), inputs);
-          job.high_count = high->resources.size();
-          job.work = high->work;
-        }
-        job.wall = seconds_since(start);
-      },
-      ctl.cancel);
-  if (ctl.cancelled()) {
+  std::vector<std::vector<ViewOutcome>> per_process(providers.size());
+  for (std::size_t s = 0; s < providers.size(); ++s) {
+    if (providers[s].any_trusted_ok()) per_process[s].resize(ctxs.size());
+  }
+  tasks.clear();
+  for (std::size_t c = 0; c < ctxs.size(); ++c) {
+    for (std::size_t s = 0; s < providers.size(); ++s) {
+      if (per_process[s].empty()) continue;
+      tasks.push_back(providers[s].api_task(serial_ctx, ctxs[c],
+                                            per_process[s][c], "injected"));
+      tasks.back().image = ctxs[c].image_name;
+    }
+  }
+  if (!run_views(tasks, ctl)) {
     return support::Status::cancelled("injected scan cancelled");
   }
 
-  // Deterministic reduction: pid-major, first finding per key wins —
-  // identical to the serial per-process loop regardless of which worker
-  // ran which job. A failed per-process scan marks the diff degraded
-  // (first failure in pid order) but the successes still merge.
-  ScanTally tally;
-  const auto& profile = machine_.config().profile;
-  for (std::size_t s = 0; s < scanners_.size(); ++s) {
-    Provider& p = providers[s];
-    DiffReport d;
-    d.type = scanners_[s]->type();
-    d.high_view = "injected scans (all processes)";
-
-    tally.provider_scans += p.trusted.size();
-    support::Status first_trusted_failure;
-    double wall = 0;
-    for (const auto& o : p.trusted) {
-      if (!o.result.ok()) {
-        ++tally.scan_failures;
-        if (first_trusted_failure.ok()) {
-          first_trusted_failure = o.result.status();
-        }
-      }
-      wall += o.wall;
-    }
-
-    ViewSummary api;
-    api.id = kApiViewId;
-    api.name = d.high_view;
-    api.trust = TrustLevel::kApiView;
-    d.views.push_back(api);
-    const ViewOutcome* last_ok = nullptr;
-    for (const auto& o : p.trusted) {
-      ViewSummary v;
-      v.id = o.id;
-      v.trust = o.trust;
-      if (o.result.ok()) {
-        v.name = o.result->view_name;
-        v.count = o.result->resources.size();
-        last_ok = &o;
-      } else {
-        v.name = "(scan failed)";
-        v.status = o.result.status();
-      }
-      d.views.push_back(std::move(v));
-    }
-
-    if (!p.any_ok()) {
-      d.low_view = "(scan failed)";
-      d.status = first_trusted_failure;
-      d.wall_seconds = wall;
-      report.diffs.push_back(std::move(d));
-      continue;
-    }
-    tally.provider_scans += ctxs.size();  // one injected high per process
+  // Each process's API view is diffed against the trusted views, and the
+  // findings merge pid-major, first finding per key — identical to a
+  // serial per-process loop whichever worker ran which scan. The report's
+  // API column stands for every process: the matrix summary of a named
+  // placeholder plus the trusted views yields the trusted columns, the
+  // pairwise projection and the trusted views' status; the column then
+  // takes the largest per-process count and the first failure in pid
+  // order, which degrades the diff while the successes still merge.
+  Report report;
+  Report::Metrics tally;
+  for (std::size_t s = 0; s < providers.size(); ++s) {
+    const ProviderRun& p = providers[s];
+    const ResourceType type = p.scanner->type();
+    const support::StatusOr<ScanResult> column(
+        ScanResult{.view_name = kInjectedViewName, .type = type});
+    std::vector<ViewInput> inputs = p.inputs(column);
+    auto span = obs::default_tracer().span(
+        std::string("diff.") + resource_type_name(type), "diff");
+    const auto start = SteadyClock::now();
+    DiffReport d = summarize_views(type, inputs);
+    machine::ScanWork work = tally_views(tally, std::span(inputs).subspan(1));
+    double wall = p.wall();
     std::map<std::string, Finding> hidden;
-    std::size_t high_count_max = 0;
-    machine::ScanWork work;
     support::Status first_failure;
-    for (std::size_t c = 0; c < ctxs.size(); ++c) {
-      Job& job = jobs[c * scanners_.size() + s];
-      if (!job.status.ok()) {
-        ++tally.scan_failures;
-        if (first_failure.ok()) first_failure = job.status;
+    for (const ViewOutcome& o : per_process[s]) {
+      inputs[0] = input_of(kApiViewId, TrustLevel::kApiView, o.result);
+      work += tally_views(tally, std::span(inputs).first(1));
+      wall += o.wall;
+      if (!o.result.ok()) {
+        if (first_failure.ok()) first_failure = o.result.status();
+        continue;
       }
-      for (auto& f : job.diff.hidden) hidden.emplace(f.resource.key, f);
-      high_count_max = std::max(high_count_max, job.high_count);
-      work += job.work;
-      wall += job.wall;
+      for (Finding& f : cross_view_matrix_diff(type, inputs, &pool_).hidden) {
+        hidden.emplace(f.resource.key, std::move(f));
+      }
+      d.high_count = std::max(d.high_count, o.result->resources.size());
     }
-    d.views[0].count = high_count_max;
+    d.views[0].count = d.high_count;
     d.views[0].status = first_failure;
-    d.low_view = last_ok->result->view_name;
-    d.low_trust = last_ok->trust;
-    d.high_count = high_count_max;
-    d.low_count = last_ok->result->resources.size();
-    d.status = first_trusted_failure.ok() ? first_failure
-                                          : first_trusted_failure;
-    for (auto& [key, f] : hidden) d.hidden.push_back(f);
-    for (const auto& o : p.trusted) {
-      if (o.result.ok()) work += o.result->work;
-    }
-    d.simulated_seconds = estimate_seconds(profile, work);
-    d.wall_seconds = wall;
+    if (d.status.ok()) d.status = first_failure;
+    for (auto& [key, f] : hidden) d.hidden.push_back(std::move(f));
+    d.simulated_seconds = estimate_seconds(machine_.config().profile, work);
+    d.wall_seconds = wall + seconds_since(start);
     report.diffs.push_back(std::move(d));
   }
   finalize(report, seconds_since(t0), "injected", tally);
@@ -754,32 +665,18 @@ support::StatusOr<Report> ScanEngine::injected_scan_impl(const RunCtl& ctl) {
 
 InsideCapture ScanEngine::capture_inside_high_impl(const RunCtl& ctl) {
   auto run_span = obs::default_tracer().span("engine.capture", "engine");
-  InsideCapture cap;
   const auto ctx = scanner_context();
   const ScanTaskContext tctx = task_context();
-  cap.entries.resize(scanners_.size());
-  for (std::size_t s = 0; s < scanners_.size(); ++s) {
-    cap.entries[s].type = scanners_[s]->type();
-  }
-  ctl.add_total(static_cast<std::uint32_t>(scanners_.size()));
-  pool_.parallel_for(
-      scanners_.size(),
-      [&](std::size_t s) {
-        auto span = obs::default_tracer().span(
-            std::string("scan.") + resource_type_name(scanners_[s]->type()) +
-                ".high",
-            "provider");
-        cap.entries[s].high =
-            guarded_scan([&] { return scanners_[s]->high_scan(tctx, ctx); });
-        ctl.add_done();
-      },
-      ctl.cancel);
+  auto providers = plan(ScanPhase::kOutside);
+  std::vector<ViewTask> tasks;
+  for (auto& p : providers) tasks.push_back(p.api_task(tctx, ctx, p.api));
+  run_views(tasks, ctl);
 
+  InsideCapture cap;
   bool want_dump = false;
-  for (const auto& s : scanners_) {
-    for (const auto& def : s->trusted_views(ScanPhase::kOutside, cfg_)) {
-      want_dump = want_dump || def.needs_dump;
-    }
+  for (auto& p : providers) {
+    cap.entries.push_back({p.scanner->type(), std::move(p.api.result)});
+    for (const auto& def : p.defs) want_dump = want_dump || def.needs_dump;
   }
   // A cancelled capture never blue-screens the machine: the job is being
   // abandoned, so we leave the box running instead of halting it for a
@@ -809,93 +706,36 @@ support::StatusOr<Report> ScanEngine::outside_diff_impl(
   }
   const auto t0 = SteadyClock::now();
   auto run_span = obs::default_tracer().span("engine.outside_diff", "engine");
-  Report report;
   const ScanTaskContext tctx = task_context();
   const OutsideSources sources{machine_.disk(),
                                cap.dump ? &*cap.dump : nullptr,
                                cap.dump_bytes, cap.dump_status};
 
   // Match capture entries to providers by type (the capture may come
-  // from a different engine whose provider set differs).
-  struct Wanted {
-    const ResourceScanner* scanner = nullptr;
-    const InsideCapture::Entry* entry = nullptr;
-    std::vector<ResourceScanner::ViewDef> defs;
-    std::vector<ViewOutcome> outcomes;  // parallel to defs
-  };
-  std::vector<Wanted> wanted;
+  // from a different engine whose provider set differs), then run the
+  // clean-environment views of the powered-off disk and the captured
+  // dump (parsed and raw), one task per registered view.
+  std::vector<const InsideCapture::Entry*> entries;
+  std::vector<ProviderRun> providers;
   for (const auto& entry : cap.entries) {
     for (const auto& s : scanners_) {
       if (s->type() == entry.type) {
-        Wanted w;
-        w.scanner = s.get();
-        w.entry = &entry;
-        w.defs = s->trusted_views(ScanPhase::kOutside, cfg_);
-        w.outcomes.resize(w.defs.size());
-        for (std::size_t v = 0; v < w.defs.size(); ++v) {
-          w.outcomes[v].id = w.defs[v].id;
-          w.outcomes[v].trust = w.defs[v].trust;
-        }
-        wanted.push_back(std::move(w));
+        entries.push_back(&entry);
+        providers.emplace_back(*s, ScanPhase::kOutside, cfg_);
         break;
       }
     }
   }
-
-  // Clean-environment views of the powered-off disk and the captured
-  // dump (parsed and raw), one task per registered view.
-  struct TaskRef {
-    std::size_t slot = 0;
-    std::size_t view = 0;
-  };
-  std::vector<TaskRef> tasks;
-  for (std::size_t i = 0; i < wanted.size(); ++i) {
-    for (std::size_t v = 0; v < wanted[i].defs.size(); ++v) {
-      tasks.push_back(TaskRef{i, v});
-    }
-  }
-  ctl.add_total(static_cast<std::uint32_t>(tasks.size()));
-  pool_.parallel_for(
-      tasks.size(),
-      [&](std::size_t i) {
-        const TaskRef task = tasks[i];
-        Wanted& w = wanted[task.slot];
-        auto span = obs::default_tracer().span(
-            std::string("scan.") + resource_type_name(w.scanner->type()) +
-                ".outside." + w.outcomes[task.view].id,
-            "provider");
-        const auto start = SteadyClock::now();
-        w.outcomes[task.view].result = guarded_scan(
-            [&] { return w.defs[task.view].run(tctx, &sources); });
-        w.outcomes[task.view].wall = seconds_since(start);
-        ctl.add_done();
-      },
-      ctl.cancel);
-  if (ctl.cancelled()) {
+  std::vector<ViewTask> tasks;
+  for (auto& p : providers) p.add_trusted_tasks(tasks, tctx, &sources);
+  if (!run_views(tasks, ctl)) {
     return support::Status::cancelled("outside diff cancelled");
   }
 
-  ScanTally tally;
-  const auto& profile = machine_.config().profile;
-  for (auto& w : wanted) {
-    tally.provider_scans += 1 + w.outcomes.size();  // capture + clean views
-    if (!w.entry->high.ok()) ++tally.scan_failures;
-    double wall = 0;
-    std::vector<ViewRef> refs(1 + w.outcomes.size());
-    refs[0] = ViewRef{kApiViewId, TrustLevel::kApiView, &w.entry->high};
-    for (std::size_t v = 0; v < w.outcomes.size(); ++v) {
-      if (!w.outcomes[v].result.ok()) ++tally.scan_failures;
-      wall += w.outcomes[v].wall;
-      refs[v + 1] = ViewRef{w.outcomes[v].id, w.outcomes[v].trust,
-                            &w.outcomes[v].result};
-    }
-    auto span = obs::default_tracer().span(
-        std::string("diff.") + resource_type_name(w.scanner->type()),
-        "diff");
-    const auto start = SteadyClock::now();
-    DiffReport d = diff_views(*w.scanner, tctx, refs, profile);
-    d.wall_seconds = wall + seconds_since(start);
-    report.diffs.push_back(std::move(d));
+  Report report;
+  Report::Metrics tally;
+  for (std::size_t i = 0; i < providers.size(); ++i) {
+    report.diffs.push_back(diff_views(providers[i], entries[i]->high, tally));
   }
   finalize(report, seconds_since(t0), "outside", tally);
   return report;

@@ -46,8 +46,8 @@ struct ScanResult {
   std::string view_name;  // e.g. "Win32 API scan (ghostbuster.exe)"
   ResourceType type = ResourceType::kFile;
   TrustLevel trust = TrustLevel::kApiView;
-  std::vector<Resource> resources;  // sorted by key, unique
-  machine::ScanWork work;           // feeds the timing model
+  std::vector<Resource> resources{};  // sorted by key, unique
+  machine::ScanWork work{};         // feeds the timing model
 
   /// Sorts and dedupes; call after assembling resources.
   void normalize();

@@ -301,14 +301,12 @@ support::StatusOr<std::vector<obs::TraceEvent>> decode_trace_events(
     std::string_view blob) {
   ByteReader r(std::as_bytes(std::span(blob.data(), blob.size())));
   try {
-    // Counts are bounded by the blob size (every event and every arg
-    // pair costs more than one byte), so a corrupt count can't force a
+    // Counts are bounded by the bytes left over the smallest encoding of
+    // one element — an event is at least two u32 string lengths, five
+    // u64s, two u32s, a u8 and its u32 arg count (61 bytes); an arg pair
+    // at least two u32 lengths (8) — so a corrupt count can't force a
     // huge allocation before the reads start failing.
-    const std::uint32_t count = r.u32();
-    if (count > blob.size()) {
-      return support::Status::corrupt("wire: trace blob count too large");
-    }
-    std::vector<obs::TraceEvent> events(count);
+    std::vector<obs::TraceEvent> events(r.count(61));
     for (obs::TraceEvent& e : events) {
       e.name = r.str(r.u32());
       e.cat = r.str(r.u32());
@@ -320,11 +318,7 @@ support::StatusOr<std::vector<obs::TraceEvent>> decode_trace_events(
       e.pid = r.u32();
       e.tid = r.u32();
       e.ph = static_cast<char>(r.u8());
-      const std::uint32_t nargs = r.u32();
-      if (nargs > blob.size()) {
-        return support::Status::corrupt("wire: trace arg count too large");
-      }
-      e.args.resize(nargs);
+      e.args.resize(r.count(8));
       for (auto& [key, value] : e.args) {
         key = r.str(r.u32());
         value = r.str(r.u32());

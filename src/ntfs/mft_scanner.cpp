@@ -11,17 +11,35 @@
 
 namespace gb::ntfs {
 
-MftScanner::MftScanner(disk::SectorDevice& dev) : dev_(dev) {
+MftGeometry read_mft_geometry(disk::SectorDevice& dev) {
   std::vector<std::byte> bs(kSectorSize);
-  dev_.read(0, bs);
+  dev.read(0, bs);
   ByteReader r(bs);
   r.seek(BootSectorLayout::kOemOffset);
   if (r.str(8) != std::string(kOemId, sizeof kOemId)) {
     throw ParseError("not an NTFS volume (bad OEM id)");
   }
   r.seek(BootSectorLayout::kMftStartCluster);
-  mft_start_cluster_ = r.u64();
-  mft_record_count_ = r.u32();
+  MftGeometry g;
+  g.start_cluster = r.u64();
+  g.record_count = r.u32();
+  // Divide rather than multiply: a hostile start cluster must not wrap.
+  const std::uint64_t size = dev.size_bytes();
+  if (g.start_cluster > size / kClusterSize ||
+      (size - g.start_cluster * kClusterSize) / kMftRecordSize <
+          g.record_count) {
+    throw ParseError("MFT of " + std::to_string(g.record_count) +
+                     " records at cluster " +
+                     std::to_string(g.start_cluster) +
+                     " runs past the device end");
+  }
+  return g;
+}
+
+MftScanner::MftScanner(disk::SectorDevice& dev) : dev_(dev) {
+  const MftGeometry g = read_mft_geometry(dev_);
+  mft_start_cluster_ = g.start_cluster;
+  mft_record_count_ = g.record_count;
 }
 
 support::StatusOr<MftScanner> MftScanner::open(disk::SectorDevice& dev) {

@@ -62,9 +62,22 @@ struct MftNode {
 [[nodiscard]] std::vector<RawFile> assemble_listing(
     const std::map<std::uint64_t, MftNode>& nodes);
 
+/// Where the MFT lives, as the boot sector says.
+struct MftGeometry {
+  std::uint64_t start_cluster = 0;
+  std::uint32_t record_count = 0;
+};
+
+/// Reads the boot sector's OEM id, MFT start cluster and MFT record
+/// count — the one decoder of that geometry. Throws gb::ParseError if the
+/// volume is not NTFS or the records would run past the device end (a
+/// poisoned count must never size an allocation or a read loop).
+[[nodiscard]] MftGeometry read_mft_geometry(disk::SectorDevice& dev);
+
 class MftScanner {
  public:
-  /// Parses the boot sector; throws gb::ParseError if not NTFS.
+  /// Parses the boot sector (read_mft_geometry); throws gb::ParseError
+  /// if it is not a sound NTFS boot sector.
   explicit MftScanner(disk::SectorDevice& dev);
 
   /// Status-returning factory: a device without a valid NTFS boot sector

@@ -60,17 +60,15 @@ void MftSnapshot::classify_into(std::uint64_t record,
 }
 
 support::StatusOr<MftSnapshot> MftSnapshot::capture(disk::SectorDevice& dev) {
-  std::vector<std::byte> bs(kSectorSize);
-  dev.read(0, bs);
-  ByteReader r(bs);
-  r.seek(BootSectorLayout::kOemOffset);
-  if (r.str(8) != std::string(kOemId, sizeof kOemId)) {
-    return support::Status::corrupt("not an NTFS volume (bad OEM id)");
+  MftGeometry g;
+  try {
+    g = read_mft_geometry(dev);
+  } catch (const ParseError& e) {
+    return support::Status::corrupt(e.what());
   }
-  r.seek(BootSectorLayout::kMftStartCluster);
   MftSnapshot snap;
-  snap.mft_start_cluster_ = r.u64();
-  snap.slots_.resize(r.u32());
+  snap.mft_start_cluster_ = g.start_cluster;
+  snap.slots_.resize(g.record_count);
   std::vector<std::byte> image(kMftRecordSize);
   for (std::uint64_t i = 0; i < snap.slots_.size(); ++i) {
     dev.read(record_lba(snap.mft_start_cluster_, i), image);

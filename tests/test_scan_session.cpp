@@ -23,6 +23,7 @@
 #include "core/scan_scheduler.h"
 #include "machine/machine.h"
 #include "malware/hackerdefender.h"
+#include "ntfs/ntfs_format.h"
 #include "support/bytes.h"
 
 namespace gb {
@@ -348,6 +349,52 @@ TEST(ScanSession, RestoreRejectsHugeSlotCountWithoutCrashing) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), support::StatusCode::kCorrupt);
 }
+
+/// Rewrites the boot sector's MFT record count, leaving the rest of the
+/// volume intact.
+void poison_mft_record_count(machine::Machine& m, std::uint32_t count) {
+  std::vector<std::byte> bs(ntfs::kSectorSize);
+  m.disk().read(0, bs);
+  for (std::size_t i = 0; i < 4; ++i) {
+    bs[ntfs::BootSectorLayout::kMftRecordCount + i] =
+        static_cast<std::byte>(count >> (8 * i));
+  }
+  m.disk().write(0, bs);
+}
+
+class ScanSessionPoisonedBoot
+    : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(ScanSessionPoisonedBoot, RescanDegradesExactlyLikeAColdScan) {
+  // A boot sector whose MFT record count runs past the device end (a
+  // 2-billion lie, or one merely too large for the disk) must degrade a
+  // session rescan the way it degrades a cold scan — never throw out of
+  // the snapshot capture.
+  machine::Machine m(small_config());
+  poison_mft_record_count(m, GetParam());
+  const core::Report cold = cold_scan(m, 1);
+  const auto* cold_files = cold.diff_for(core::ResourceType::kFile);
+  ASSERT_NE(cold_files, nullptr);
+  ASSERT_TRUE(cold_files->degraded());
+
+  core::ScanConfig cfg;
+  cfg.parallelism = 1;
+  core::ScanEngine engine(m, cfg);
+  core::ScanSession session = engine.open_session();
+  const auto rescan = session.rescan(nullptr, nullptr);
+  ASSERT_TRUE(rescan.ok()) << rescan.status().to_string();
+  const auto* files = rescan->diff_for(core::ResourceType::kFile);
+  ASSERT_NE(files, nullptr);
+  EXPECT_EQ(files->status.code(), cold_files->status.code());
+  EXPECT_EQ(files->status.to_string(), cold_files->status.to_string());
+  EXPECT_NE(session.last_sync().fallback_reason.find("capture failed"),
+            std::string::npos)
+      << session.last_sync().fallback_reason;
+  EXPECT_EQ(normalize(rescan->to_json()), normalize(cold.to_json()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Counts, ScanSessionPoisonedBoot,
+                         ::testing::Values(0x7fffffffu, 200000u));
 
 TEST(ScanSession, RestoreRejectsStoreFromAnotherVolume) {
   machine::Machine big(small_config());

@@ -331,6 +331,35 @@ TEST(WireCodec, CorruptTraceBlobIsCorruptNotAnAllocationBomb) {
             support::StatusCode::kCorrupt);
 }
 
+TEST(WireCodec, TraceBlobCountsAreBoundedByTheBytesLeft) {
+  // Counts no larger than the blob itself, so a bound on the blob size
+  // alone would let them through: each element needs far more than one
+  // byte, so both must fail on the count bound before any allocation.
+  auto put_u32 = [](std::string& blob, std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      blob[at + i] = static_cast<char>(v >> (8 * i));  // little-endian
+    }
+  };
+  std::string events(4 << 20, '\0');  // event count == blob size
+  put_u32(events, 0, static_cast<std::uint32_t>(events.size()));
+  const auto ev = decode_trace_events(events);
+  ASSERT_EQ(ev.status().code(), support::StatusCode::kCorrupt);
+  EXPECT_NE(ev.status().message().find("exceeds"), std::string::npos)
+      << ev.status().message();
+  EXPECT_NE(ev.status().message().find("bytes left"), std::string::npos);
+
+  // One event whose arg count claims one pair per padding byte.
+  std::string args = encode_trace_events(std::vector<obs::TraceEvent>(1));
+  const std::uint32_t pad = 1 << 20;
+  put_u32(args, args.size() - 4, pad);
+  args.append(pad, '\0');
+  const auto ar = decode_trace_events(args);
+  ASSERT_EQ(ar.status().code(), support::StatusCode::kCorrupt);
+  EXPECT_NE(ar.status().message().find("exceeds"), std::string::npos)
+      << ar.status().message();
+  EXPECT_NE(ar.status().message().find("bytes left"), std::string::npos);
+}
+
 TEST(WireFramer, PeerCloseAtFrameBoundaryIsUnavailable) {
   PipePair pipe = make_pipe();
   pipe.client->close();
